@@ -1122,20 +1122,35 @@ impl Fabric {
                 Ok(Err(e)) => e,
                 Err(rank) => CommError::RankPanicked { rank },
             };
-            // A plan violation is the root cause; peers that then fail with
-            // secondary send/recv errors (the violator exited) must not mask
-            // it. Otherwise the first error in rank order wins.
-            match (&first_err, &err) {
-                (None, _) => first_err = Some(err),
-                (Some(CommError::PlanViolation { .. }), _) => {}
-                (Some(_), CommError::PlanViolation { .. }) => first_err = Some(err),
-                _ => {}
+            // The root cause wins over the symptoms it triggers: peers of a
+            // failed rank see its channels close, and their send/recv
+            // errors must not mask it. Among equals, rank order decides.
+            if first_err
+                .as_ref()
+                .is_none_or(|kept| cause_precedence(&err) < cause_precedence(kept))
+            {
+                first_err = Some(err);
             }
         }
         match first_err {
             Some(e) => Err(e),
             None => Ok((out, stats.report())),
         }
+    }
+}
+
+/// How directly a rank's error explains a failed run, lowest first: a
+/// plan violation, then a rank's own failure (including a panic or a
+/// timeout), and last a send or receive that failed only because the peer
+/// exited — the echo of another rank's error.
+fn cause_precedence(err: &CommError) -> u8 {
+    match err {
+        CommError::PlanViolation { .. } => 0,
+        CommError::SendFailed { .. }
+        | CommError::RecvFailed {
+            timed_out: false, ..
+        } => 2,
+        _ => 1,
     }
 }
 
@@ -1441,6 +1456,38 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, CommError::RecvFailed { src: 1, .. }));
+    }
+
+    #[test]
+    fn peer_exit_does_not_mask_the_failing_ranks_error() {
+        // Rank 1 fails on its own; rank 0, blocked in a receive from rank
+        // 1, sees only the closed channel. The run must report rank 1's
+        // root cause, not rank 0's echo of it, although rank 0 comes first.
+        let root = CommError::RankFailed {
+            rank: 1,
+            kind: "kv-cache",
+            detail: "kv-cache error: out of KV-cache pages".to_string(),
+        };
+        let err = run_ranks::<Vec<f32>, _, _>(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv(1).map(|_| ())
+            } else {
+                Err(root.clone())
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, root);
+
+        // Same for a panic.
+        let err = run_ranks::<Vec<f32>, _, _>(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv(1).map(|_| ())
+            } else {
+                panic!("boom")
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, CommError::RankPanicked { rank: 1 });
     }
 
     #[test]

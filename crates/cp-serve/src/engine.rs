@@ -1654,6 +1654,35 @@ mod tests {
         assert!(!engine.has_session(SeqId(1)));
     }
 
+    #[test]
+    fn page_exhaustion_on_a_nonzero_rank_is_out_of_pages() {
+        // 34 tokens at CP=2 shard as 9-token chunks: rank 1 holds chunks
+        // 1 and 2 (18 tokens) and overflows its single 16-token page;
+        // rank 0 holds 9 + 7 and fits. Rank 0 only sees rank 1 exit, and
+        // that echo must not hide rank 1's page exhaustion.
+        let mut engine = TransformerEngine::with_cache_limit(model(6), 2, Some(1)).unwrap();
+        engine.create_session(SeqId(1)).unwrap();
+        let err = engine
+            .prefill_session(SeqId(1), &(0..34u32).collect::<Vec<_>>())
+            .unwrap_err();
+        assert!(err.is_out_of_pages(), "{err:?}");
+        assert!(
+            matches!(
+                err,
+                ServeError::Core(CoreError::Comm(cp_comm::CommError::RankFailed {
+                    rank: 1,
+                    ..
+                }))
+            ),
+            "{err:?}"
+        );
+        // The failed prefill rolled back; a prompt that fits still runs.
+        assert_eq!(engine.session_len(SeqId(1)).unwrap(), 0);
+        engine
+            .prefill_session(SeqId(1), &(0..32u32).collect::<Vec<_>>())
+            .unwrap();
+    }
+
     /// Prefills two sessions and runs three batched decode ticks under
     /// the given strategy pin (`None` = the engine default), returning
     /// each tick's per-session activations.

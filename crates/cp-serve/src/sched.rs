@@ -83,6 +83,8 @@ struct Session {
     seq: SeqId,
     request: u64,
     arrival_tick: u64,
+    /// Wall-clock start of the arrival tick, for TTFT accounting.
+    arrived_at: Instant,
     conversation: Conversation,
     turn_idx: usize,
     /// Tokens of the conversation consumed so far (prompt + response),
@@ -99,6 +101,8 @@ struct Session {
     last_token_at: Option<Instant>,
     /// Per-turn tick of the prefill's start, for TTFT accounting.
     turn_started_tick: u64,
+    /// Wall-clock start of that tick.
+    turn_started_at: Instant,
     /// How many times this session was evicted and restarted.
     restarts: u32,
     /// Final activations of every emitted response token, in emission
@@ -139,7 +143,9 @@ pub struct ServeMetrics {
     /// Ticks from a request's arrival to its first turn's first response
     /// token, one sample per served turn.
     pub ttft_ticks: Vec<u64>,
-    /// Wall-clock seconds for the same samples.
+    /// Wall-clock seconds for the same samples, from the start of the
+    /// tick the tick count starts from (the arrival tick, or the turn's
+    /// first tick) to the token.
     pub ttft_seconds: Vec<f64>,
     /// Ticks between consecutive response tokens of a turn.
     pub tbt_ticks: Vec<u64>,
@@ -194,7 +200,8 @@ pub struct Scheduler {
     live: Vec<Session>,
     next_seq: u64,
     tick: u64,
-    started: Instant,
+    /// Wall-clock start of the current tick.
+    tick_started_at: Instant,
     metrics: ServeMetrics,
     /// Outputs of completed conversations, keyed by request id.
     completed: Vec<(u64, Vec<Tensor>)>,
@@ -204,6 +211,9 @@ pub struct Scheduler {
 struct QueuedRequest {
     request: u64,
     arrival_tick: u64,
+    /// Wall-clock start of the arrival tick, stamped by the first tick at
+    /// or after it (kept across eviction replays).
+    arrived_at: Option<Instant>,
     conversation: Conversation,
     restarts: u32,
 }
@@ -218,7 +228,7 @@ impl Scheduler {
             live: Vec::new(),
             next_seq: 1,
             tick: 0,
-            started: Instant::now(),
+            tick_started_at: Instant::now(),
             metrics: ServeMetrics::default(),
             completed: Vec::new(),
         }
@@ -233,6 +243,7 @@ impl Scheduler {
         self.queue.push_back(QueuedRequest {
             request,
             arrival_tick,
+            arrived_at: None,
             conversation,
             restarts: 0,
         });
@@ -308,6 +319,14 @@ impl Scheduler {
             tick: self.tick,
             ..TickReport::default()
         };
+        self.tick_started_at = Instant::now();
+        for r in self
+            .queue
+            .iter_mut()
+            .filter(|r| r.arrival_tick <= self.tick)
+        {
+            r.arrived_at.get_or_insert(self.tick_started_at);
+        }
 
         report.admitted = self.admit()?;
         self.advance_turn_starts(&mut report)?;
@@ -341,6 +360,7 @@ impl Scheduler {
                 seq,
                 request: r.request,
                 arrival_tick: r.arrival_tick,
+                arrived_at: r.arrived_at.unwrap_or(self.tick_started_at),
                 conversation: r.conversation,
                 turn_idx: 0,
                 consumed: 0,
@@ -349,6 +369,7 @@ impl Scheduler {
                 last_token_tick: None,
                 last_token_at: None,
                 turn_started_tick: self.tick,
+                turn_started_at: self.tick_started_at,
                 restarts: r.restarts,
                 outputs: Vec::new(),
             });
@@ -377,6 +398,7 @@ impl Scheduler {
             let open = self.engine.begin_prefill(seq, &prompt, None)?;
             let s = &mut self.live[i];
             s.turn_started_tick = self.tick;
+            s.turn_started_at = self.tick_started_at;
             s.phase = Phase::Prefill(Box::new(open));
         }
         Ok(())
@@ -511,12 +533,10 @@ impl Scheduler {
     /// Records one decoded token for session `i`.
     fn record_token(&mut self, i: usize, activations: Tensor, now: Instant) {
         let tick = self.tick;
-        let started = self.started;
         let metrics = &mut self.metrics;
         let Some(s) = self.live.get_mut(i) else {
             return;
         };
-        let seconds_now = now.duration_since(started).as_secs_f64();
         match (s.last_token_tick, s.last_token_at) {
             (Some(prev_tick), Some(prev_at)) => {
                 metrics.tbt_ticks.push(tick - prev_tick);
@@ -528,13 +548,15 @@ impl Scheduler {
                 // First token of the turn. TTFT of the conversation's
                 // first turn counts from arrival; later turns from the
                 // turn's start.
-                let from = if s.turn_idx == 0 {
-                    s.arrival_tick
+                let (from, from_at) = if s.turn_idx == 0 {
+                    (s.arrival_tick, s.arrived_at)
                 } else {
-                    s.turn_started_tick
+                    (s.turn_started_tick, s.turn_started_at)
                 };
                 metrics.ttft_ticks.push(tick.saturating_sub(from));
-                metrics.ttft_seconds.push(seconds_now);
+                metrics
+                    .ttft_seconds
+                    .push(now.duration_since(from_at).as_secs_f64());
             }
         }
         s.last_token_tick = Some(tick);
@@ -588,6 +610,7 @@ impl Scheduler {
         self.queue.push_front(QueuedRequest {
             request: victim.request,
             arrival_tick: victim.arrival_tick,
+            arrived_at: Some(victim.arrived_at),
             conversation: victim.conversation,
             restarts: victim.restarts + 1,
         });
@@ -685,6 +708,33 @@ mod tests {
     }
 
     #[test]
+    fn ttft_seconds_count_from_the_arrival_tick() {
+        // Request 0 arrives at tick 5, after five idle ticks that take at
+        // least 100 ms of wall time. Its TTFT counts from tick 5's start,
+        // so it is bounded by the time since then, well below the time
+        // since the scheduler started.
+        let mut sched = Scheduler::new(engine(1), SchedConfig::default());
+        let started = Instant::now();
+        sched.submit(0, 5.0, conv(&[(2, 1)]));
+        for _ in 0..5 {
+            assert_eq!(sched.tick().unwrap().admitted, 0);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let before_arrival = Instant::now();
+        sched.run_to_completion(100).unwrap();
+        let since_arrival = before_arrival.elapsed().as_secs_f64();
+        let m = sched.metrics();
+        assert_eq!(m.ttft_ticks, vec![0]);
+        assert_eq!(m.ttft_seconds.len(), 1);
+        let ttft = m.ttft_seconds[0];
+        assert!(ttft <= since_arrival, "{ttft} > {since_arrival}");
+        assert!(
+            ttft < before_arrival.duration_since(started).as_secs_f64(),
+            "{ttft} counts idle ticks before the arrival"
+        );
+    }
+
+    #[test]
     fn live_session_cap_is_respected() {
         let config = SchedConfig {
             max_live_sessions: 2,
@@ -719,6 +769,34 @@ mod tests {
         // Replays re-prefill, so prefilled tokens exceed the nominal 28.
         assert!(m.prefilled_tokens > 28, "{}", m.prefilled_tokens);
         assert_eq!(m.decoded_tokens, 18);
+    }
+
+    #[test]
+    fn eviction_on_rank_one_exhaustion_at_cp2() {
+        // CP=2, two 16-token pages per (rank, layer): each session holds
+        // one page per rank. A 6-token prompt shards 2 tokens to rank 0
+        // and 4 to rank 1, and decode appends alternate ranks 0, 1, 0, ...
+        // So request 0 needs a second rank-1 page at its 26th response
+        // token (its rank 0 share is then 15), while request 1 still holds
+        // the other page. Rank 1 runs out and rank 0 does not: the
+        // scheduler must still see out-of-pages, evict request 1 and
+        // complete both.
+        let model = Transformer::new(&TransformerConfig::tiny(), 14);
+        let engine = TransformerEngine::with_cache_limit(model, 2, Some(2)).unwrap();
+        let mut sched = Scheduler::new(engine, SchedConfig::default());
+        sched.submit(0, 0.0, conv(&[(6, 30)]));
+        sched.submit(1, 0.0, conv(&[(6, 28)]));
+        sched.run_to_completion(500).unwrap();
+        let m = sched.metrics();
+        assert_eq!(m.completed, 2);
+        assert!(m.evictions > 0, "expected restart-on-evict preemptions");
+        let mut outs: Vec<_> = sched
+            .outputs()
+            .iter()
+            .map(|(id, o)| (*id, o.len()))
+            .collect();
+        outs.sort_unstable();
+        assert_eq!(outs, vec![(0, 30), (1, 28)]);
     }
 
     #[test]
